@@ -90,10 +90,10 @@ pub struct WindowScan {
 /// indexed readers use).
 type DayGroup = (Day, Vec<(usize, Option<u32>)>);
 
-/// Whole-day groups per rescore replay chunk — see the matching
-/// `SWEEP_CHUNK_DAYS` in the offline builder for the contract: data-
-/// defined boundaries, one reused detector pair per chunk, flushed at
-/// every day boundary.
+/// Whole-day groups per rescore replay chunk, with the same contract as
+/// the offline builder's `SWEEP_CHUNK_DAYS` (whose chunks generate flows
+/// rather than replay them): data-defined boundaries, one reused
+/// detector pair per chunk, flushed at every day boundary.
 const RESCORE_CHUNK_DAYS: usize = 2;
 
 /// Selected segment indexes grouped into runs of equal day.
@@ -146,9 +146,10 @@ pub fn rescore_window(
     span.field("threads", pool.threads() as u64);
     // Fixed-size chunks of whole days: one detector pair per chunk,
     // window state flushed (cleared, capacity kept) at every day
-    // boundary. Chunk boundaries depend only on the day list, so the
-    // sweep stays bit-identical at any thread count while each shard
-    // reuses its detector scratch across days.
+    // boundary and released once the chunk is done. Chunk boundaries
+    // depend only on the day list, so the sweep stays bit-identical at
+    // any thread count while each shard reuses its detector scratch
+    // across days.
     let chunks: Vec<&[DayGroup]> = groups.chunks(RESCORE_CHUNK_DAYS).collect();
     let shards = pool.run_indexed(chunks.len(), |c| {
         let mut scan_shard = HourlyFanoutDetector::new(cfg.fanout.clone());
@@ -170,6 +171,8 @@ pub fn rescore_window(
             scan_shard.flush_window_state();
             spam_shard.flush_window_state();
         }
+        scan_shard.release_window_state();
+        spam_shard.release_window_state();
         Ok::<_, IndexedError>((scan_shard, spam_shard, telemetry, flows))
     });
 

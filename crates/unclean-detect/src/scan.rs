@@ -93,6 +93,12 @@ impl HourlyFanoutDetector {
         self.state.clear();
     }
 
+    /// Drop tracking state *and* its capacity, for a shard done observing
+    /// that is kept only for its detections (awaiting [`merge`](Self::merge)).
+    pub fn release_window_state(&mut self) {
+        self.state = HashMap::new();
+    }
+
     /// Fold another detector's detections into this one. Used to combine
     /// per-day shards of the pipeline: because detection state is scoped
     /// to a single hour and every shard covers whole days, a shard that

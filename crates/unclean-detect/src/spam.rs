@@ -81,6 +81,12 @@ impl SpamDetector {
         self.state.clear();
     }
 
+    /// Drop tracking state *and* its capacity, for a shard done observing
+    /// that is kept only for its detections (awaiting [`merge`](Self::merge)).
+    pub fn release_window_state(&mut self) {
+        self.state = HashMap::new();
+    }
+
     /// Fold another detector's detections into this one. Used to combine
     /// per-day shards of the pipeline: message counts are scoped to a
     /// single day, so a shard that has completed its window

@@ -722,23 +722,22 @@ impl Response {
     }
 }
 
-/// What [`dispatch`] tells the connection driver.
-struct DispatchOutcome {
-    /// Keep the connection open for the next request.
-    keep_alive: bool,
-    /// The request was `POST /quit`; shutdown has been initiated.
-    quit: bool,
-}
-
 /// Route one parsed request and serialize its response into `out`.
 /// This is the whole per-request hot path: metrics, optional stage
 /// sampling, routing, serialization, latency accounting.
+///
+/// `last` marks the connection's final request (its
+/// `max_requests_per_conn` budget is spent), so the response says
+/// `Connection: close` instead of inviting a reuse that would hit a
+/// closed socket. Returns whether the connection stays open: false
+/// after `last`, `POST /quit`, or a request that asked to close.
 fn dispatch(
     shared: &Shared,
     request: &Request,
     parse_ns: u64,
+    last: bool,
     out: &mut Vec<u8>,
-) -> DispatchOutcome {
+) -> bool {
     shared.metrics.requests.inc();
     let t0 = Instant::now();
     // Head-sampling: 1 request in N, decided on a relaxed shared
@@ -758,7 +757,7 @@ fn dispatch(
             source_generation: None,
         };
         let r = route(shared, request, Some(&mut stages));
-        keep_alive = request.keep_alive && !r.quit;
+        keep_alive = request.keep_alive && !r.quit && !last;
         let t_write = Instant::now();
         write_response(
             out,
@@ -774,7 +773,7 @@ fn dispatch(
         response = r;
     } else {
         let r = route(shared, request, None);
-        keep_alive = request.keep_alive && !r.quit;
+        keep_alive = request.keep_alive && !r.quit && !last;
         write_response(
             out,
             request.version,
@@ -793,10 +792,7 @@ fn dispatch(
     if response.quit {
         shared.initiate_shutdown();
     }
-    DispatchOutcome {
-        keep_alive,
-        quit: response.quit,
-    }
+    keep_alive
 }
 
 /// Book a sampled request into the per-stage histograms and the trace
@@ -1329,14 +1325,12 @@ impl Conn {
                 Ok(Parse::Complete(request, used)) => {
                     consumed += used;
                     let parse_ns = elapsed_ns(t0);
-                    let outcome = dispatch(shared, &request, parse_ns, &mut self.out);
                     self.served += 1;
+                    let last = self.served >= shared.max_requests_per_conn;
+                    let keep_alive = dispatch(shared, &request, parse_ns, last, &mut self.out);
                     self.last_active = Instant::now();
                     progressed = true;
-                    if !outcome.keep_alive
-                        || outcome.quit
-                        || self.served >= shared.max_requests_per_conn
-                    {
+                    if !keep_alive {
                         self.close_after_flush = true;
                     }
                 }
@@ -1599,12 +1593,10 @@ fn serve_conn_blocking(shared: &Shared, stream: &mut TcpStream) {
         match crate::http::read_request(stream) {
             Ok(request) => {
                 let mut out = Vec::with_capacity(256);
-                let outcome = dispatch(shared, &request, elapsed_ns(t0), &mut out);
-                if stream.write_all(&out).is_err() {
-                    break;
-                }
                 served += 1;
-                if !outcome.keep_alive || outcome.quit || served >= shared.max_requests_per_conn {
+                let last = served >= shared.max_requests_per_conn;
+                let keep_alive = dispatch(shared, &request, elapsed_ns(t0), last, &mut out);
+                if stream.write_all(&out).is_err() || !keep_alive {
                     break;
                 }
             }
@@ -1740,6 +1732,45 @@ mod tests {
             Err(ServeError::Source(msg)) => assert!(msg.contains("nonexistent"), "{msg}"),
             other => panic!("expected Source error, got {other:?}"),
         }
+    }
+
+    /// The response that spends a connection's `max_requests_per_conn`
+    /// budget says `Connection: close`, so a client never reuses the
+    /// socket the server is about to close.
+    #[test]
+    fn last_request_on_a_connection_says_close() {
+        use std::io::{Read, Write};
+        let dir = std::env::temp_dir().join("unclean-serve-unit");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let list = dir.join(format!("last-request-{}.txt", std::process::id()));
+        std::fs::write(&list, "9.1.0.0/16\n").expect("write blocklist");
+        let mut config = ServeConfig::new(&list);
+        config.max_requests_per_conn = 2;
+        let server = Server::start(config, Registry::off()).expect("start");
+
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let request = b"GET /lookup?ip=9.1.2.3 HTTP/1.1\r\nHost: t\r\n\r\n";
+        stream.write_all(request).expect("first request");
+        stream.write_all(request).expect("second request");
+        // The server closes after the second answer, so this returns.
+        let mut text = String::new();
+        stream
+            .read_to_string(&mut text)
+            .expect("read both responses");
+        let connection_headers: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("Connection:"))
+            .collect();
+        assert_eq!(
+            connection_headers,
+            ["Connection: keep-alive", "Connection: close"],
+            "{text:?}"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_file(&list);
     }
 
     impl std::fmt::Debug for Server {

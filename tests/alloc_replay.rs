@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use unclean_core::{BlockSet, Ip, IpSet};
 use unclean_flowgen::record::EPOCH_UNIX_SECS;
 use unclean_flowgen::{
@@ -38,6 +39,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `ALLOCATIONS` counts every thread's allocations, and the test harness
+/// runs tests on parallel threads: each test holds this lock for its
+/// whole body so one test's spool building never lands inside the
+/// other's measured walk.
+static MEASURE: Mutex<()> = Mutex::new(());
 
 fn spool(flows_per_day: u32) -> Vec<u8> {
     let mut writer = IndexedArchiveWriter::new(Vec::new(), EPOCH_UNIX_SECS);
@@ -80,6 +87,8 @@ fn replay_counting(bytes: &[u8]) -> (u64, u64) {
 
 #[test]
 fn replay_allocations_do_not_scale_with_flow_count() {
+    // The guarded value is `()`, so a poisoned lock is still valid.
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let small = spool(500);
     let large = spool(2_000);
 
@@ -129,6 +138,8 @@ fn candidate_scan_counting(bytes: &[u8], collector: &mut CandidateCollector) -> 
 
 #[test]
 fn candidate_scan_allocations_do_not_scale_with_flow_count() {
+    // The guarded value is `()`, so a poisoned lock is still valid.
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let small = spool(500);
     let large = spool(2_000);
 

@@ -307,11 +307,11 @@ fn in_memory_sweep(
     (scan.detected(), spam.detected())
 }
 
-/// The out-of-core sweep (spool each day through the v2 indexed
-/// archive, replay through zero-copy cursors in day chunks) must report
-/// the identical scanner and spammer sets as the in-memory reference
-/// sweep — at 1 and 8 threads, at two scenario scales, over
-/// property-drawn seeds. Scenario generation is too expensive for the
+/// The out-of-core sweep (each day's flows generated straight into its
+/// day chunk's detector pair, never collected) must report the
+/// identical scanner and spammer sets as the in-memory reference sweep
+/// — at 1 and 8 threads, at two scenario scales, over property-drawn
+/// seeds. Scenario generation is too expensive for the
 /// default 64-case budget, so the seed strategy is driven by hand for a
 /// fixed two cases instead of through `proptest!`.
 #[test]
@@ -362,6 +362,69 @@ fn out_of_core_sweep_matches_in_memory_sweep() {
                     threads
                 );
             }
+        }
+    }
+}
+
+/// The serial reference for the §6 candidate scan: one collector fed
+/// day by day, in day order, from the same filtered hostile and benign
+/// events the pipeline expands.
+fn serial_candidates(
+    scenario: &unclean_netmodel::Scenario,
+    bot_test: &unclean_core::Report,
+    prefix_len: u8,
+    cfg: &unclean_detect::PipelineConfig,
+) -> Vec<unclean_core::Candidate> {
+    use unclean_core::{BlockSet, Ip};
+    use unclean_flowgen::{CandidateCollector, FlowGenerator};
+
+    let blocks = BlockSet::of(bot_test.addresses(), prefix_len);
+    let model = scenario.activity();
+    let generator = FlowGenerator::new(
+        &scenario.observed,
+        cfg.generator.clone(),
+        scenario.seeds.child("flowgen"),
+    );
+    let mut collector = CandidateCollector::new(blocks.clone());
+    for day in scenario.dates.unclean_window.days() {
+        model.hostile_events_on_filtered(
+            day,
+            |ip| blocks.contains(ip),
+            |e| generator.expand(&e, |f| collector.observe(&f)),
+        );
+        model.benign_events_on_filtered(
+            day,
+            |prefix24| blocks.contains(Ip(prefix24 << 8)),
+            |e| generator.expand(&e, |f| collector.observe(&f)),
+        );
+    }
+    collector.candidates()
+}
+
+/// The day-parallel candidate scan (one collector per day, folded in
+/// day order) must produce exactly the serial reference's candidate
+/// list — addresses and payload partition — at 1 and 8 threads, at two
+/// scenario scales.
+#[test]
+fn candidate_sweep_matches_serial_reference() {
+    use unclean_detect::{build_candidates_with, build_reports, PipelineConfig};
+    use unclean_netmodel::{Scenario, ScenarioConfig};
+    use unclean_telemetry::Registry;
+
+    for (scale, seed) in [(0.002, 11u64), (0.005, 20061001)] {
+        let scenario = Scenario::generate(ScenarioConfig::at_scale(scale, seed));
+        let bot_test = build_reports(&scenario, &PipelineConfig::paper()).bot_test;
+        let reference = serial_candidates(&scenario, &bot_test, 24, &PipelineConfig::paper());
+        assert!(!reference.is_empty(), "scale {scale}: no candidates");
+        for threads in [1usize, 8] {
+            let mut cfg = PipelineConfig::paper();
+            cfg.threads = threads;
+            let candidates =
+                build_candidates_with(&scenario, &bot_test, 24, &cfg, &Registry::off());
+            assert_eq!(
+                candidates, reference,
+                "candidate list diverged at scale {scale} threads {threads}"
+            );
         }
     }
 }
