@@ -60,8 +60,8 @@ pub fn run(ctx: &ExperimentSlot) -> Result<Value, RunError> {
         );
         println!("{}", rule(&widths));
         let mut rows = Vec::new();
+        let fives = res.control.five_numbers();
         for (i, &n) in res.xs.iter().enumerate() {
-            let fives = res.control.five_numbers();
             let b = &fives[i].1;
             let verdict = match res.verdicts()[i] {
                 Verdict::Better => "BETTER",

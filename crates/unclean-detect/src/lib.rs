@@ -24,6 +24,7 @@
 
 pub mod botmonitor;
 pub mod builder;
+mod keyed;
 pub mod live;
 pub mod phishlist;
 pub mod scan;

@@ -16,8 +16,9 @@
 //!   SYN-only = failure) and flags when the ratio crosses the detection
 //!   threshold.
 
+use crate::keyed::{KeyedMap, KeyedSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use unclean_core::{Ip, IpSet};
 use unclean_flowgen::Flow;
 
@@ -42,7 +43,7 @@ impl Default for FanoutConfig {
 #[derive(Debug, Clone, Default)]
 struct FanoutState {
     hour: i64,
-    dsts: HashSet<u32>,
+    dsts: KeyedSet<u32>,
 }
 
 /// The hourly fan-out scan detector. Feed flows in any order within a day;
@@ -50,8 +51,8 @@ struct FanoutState {
 #[derive(Debug, Clone)]
 pub struct HourlyFanoutDetector {
     config: FanoutConfig,
-    state: HashMap<u32, FanoutState>,
-    detected: HashSet<u32>,
+    state: KeyedMap<u32, FanoutState>,
+    detected: KeyedSet<u32>,
 }
 
 impl HourlyFanoutDetector {
@@ -60,8 +61,8 @@ impl HourlyFanoutDetector {
         assert!(config.hourly_threshold > 0);
         HourlyFanoutDetector {
             config,
-            state: HashMap::new(),
-            detected: HashSet::new(),
+            state: KeyedMap::default(),
+            detected: KeyedSet::default(),
         }
     }
 
@@ -96,7 +97,7 @@ impl HourlyFanoutDetector {
     /// Drop tracking state *and* its capacity, for a shard done observing
     /// that is kept only for its detections (awaiting [`merge`](Self::merge)).
     pub fn release_window_state(&mut self) {
-        self.state = HashMap::new();
+        self.state = KeyedMap::default();
     }
 
     /// Fold another detector's detections into this one. Used to combine

@@ -8,8 +8,8 @@
 //! daily message counts to the MX hosts. Benign clients send a handful of
 //! messages; bots deliver bursts of dozens.
 
+use crate::keyed::{KeyedMap, KeyedSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use unclean_core::{Ip, IpSet};
 use unclean_flowgen::Flow;
 
@@ -39,8 +39,8 @@ struct SpamState {
 #[derive(Debug, Clone)]
 pub struct SpamDetector {
     config: SpamConfig,
-    state: HashMap<u32, SpamState>,
-    detected: HashSet<u32>,
+    state: KeyedMap<u32, SpamState>,
+    detected: KeyedSet<u32>,
 }
 
 impl SpamDetector {
@@ -49,8 +49,8 @@ impl SpamDetector {
         assert!(config.daily_message_threshold > 0);
         SpamDetector {
             config,
-            state: HashMap::new(),
-            detected: HashSet::new(),
+            state: KeyedMap::default(),
+            detected: KeyedSet::default(),
         }
     }
 
@@ -84,7 +84,7 @@ impl SpamDetector {
     /// Drop tracking state *and* its capacity, for a shard done observing
     /// that is kept only for its detections (awaiting [`merge`](Self::merge)).
     pub fn release_window_state(&mut self) {
-        self.state = HashMap::new();
+        self.state = KeyedMap::default();
     }
 
     /// Fold another detector's detections into this one. Used to combine

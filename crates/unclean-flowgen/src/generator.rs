@@ -20,7 +20,7 @@ use crate::session::Flow;
 use serde::{Deserialize, Serialize};
 use unclean_core::{Day, Ip};
 use unclean_netmodel::observed::ObservedNetwork;
-use unclean_netmodel::randutil::{index_hash, uniform_hash};
+use unclean_netmodel::randutil::Purpose;
 use unclean_netmodel::{ActivityEvent, ActivityKind, ActivityModel};
 use unclean_stats::SeedTree;
 use unclean_telemetry::{Counter, Registry};
@@ -49,12 +49,85 @@ impl Default for GeneratorConfig {
     }
 }
 
+/// Every hash purpose expansion draws a flow field from, derived once
+/// from the generator's seed tree so the per-flow loops never re-hash a
+/// label.
+#[derive(Debug, Clone)]
+struct Keys {
+    target: Purpose,
+    b_server: Purpose,
+    b_port: Purpose,
+    b_pkts: Purpose,
+    b_bytes: Purpose,
+    b_sport: Purpose,
+    b_time: Purpose,
+    b_dur: Purpose,
+    s_port: Purpose,
+    s_hour: Purpose,
+    s_pkts: Purpose,
+    s_opts: Purpose,
+    s_sport: Purpose,
+    s_time: Purpose,
+    ss_port: Purpose,
+    ss_opts: Purpose,
+    ss_sport: Purpose,
+    ss_time: Purpose,
+    p_count: Purpose,
+    p_pkts: Purpose,
+    p_sport: Purpose,
+    p_dport: Purpose,
+    p_time: Purpose,
+    m_server: Purpose,
+    m_pkts: Purpose,
+    m_bytes: Purpose,
+    m_sport: Purpose,
+    m_time: Purpose,
+    m_dur: Purpose,
+}
+
+impl Keys {
+    fn new(seeds: &SeedTree) -> Keys {
+        let p = |label| Purpose::new(seeds, label);
+        Keys {
+            target: p("target"),
+            b_server: p("b-server"),
+            b_port: p("b-port"),
+            b_pkts: p("b-pkts"),
+            b_bytes: p("b-bytes"),
+            b_sport: p("b-sport"),
+            b_time: p("b-time"),
+            b_dur: p("b-dur"),
+            s_port: p("s-port"),
+            s_hour: p("s-hour"),
+            s_pkts: p("s-pkts"),
+            s_opts: p("s-opts"),
+            s_sport: p("s-sport"),
+            s_time: p("s-time"),
+            ss_port: p("ss-port"),
+            ss_opts: p("ss-opts"),
+            ss_sport: p("ss-sport"),
+            ss_time: p("ss-time"),
+            p_count: p("p-count"),
+            p_pkts: p("p-pkts"),
+            p_sport: p("p-sport"),
+            p_dport: p("p-dport"),
+            p_time: p("p-time"),
+            m_server: p("m-server"),
+            m_pkts: p("m-pkts"),
+            m_bytes: p("m-bytes"),
+            m_sport: p("m-sport"),
+            m_time: p("m-time"),
+            m_dur: p("m-dur"),
+        }
+    }
+}
+
 /// The flow generator.
 #[derive(Debug, Clone)]
 pub struct FlowGenerator<'a> {
     observed: &'a ObservedNetwork,
     config: GeneratorConfig,
-    seeds: SeedTree,
+    keys: Keys,
     events_counter: Counter,
     flows_counter: Counter,
     truncated_counter: Counter,
@@ -72,7 +145,7 @@ impl<'a> FlowGenerator<'a> {
         FlowGenerator {
             observed,
             config,
-            seeds,
+            keys: Keys::new(&seeds),
             events_counter: Counter::disabled(),
             flows_counter: Counter::disabled(),
             truncated_counter: Counter::disabled(),
@@ -113,110 +186,99 @@ impl<'a> FlowGenerator<'a> {
         let e = src.raw();
         let d = event.day.0;
         let day_base = event.day.0 as i64 * 86_400;
+        let k = &self.keys;
         match event.kind {
             ActivityKind::Benign { sessions } => {
-                for k in 0..sessions as u32 {
-                    let u =
-                        |label: &str| uniform_hash(&self.seeds, e ^ k.rotate_left(13), d, label);
-                    let server = index_hash(
-                        &self.seeds,
-                        e ^ k,
-                        d,
-                        "b-server",
-                        self.config.server_count as usize,
-                    );
-                    let port = self.config.benign_ports[index_hash(
-                        &self.seeds,
-                        e ^ k,
-                        d,
-                        "b-port",
-                        self.config.benign_ports.len(),
-                    )];
-                    let packets = 8 + (u("b-pkts") * 52.0) as u32;
-                    let payload = 200 + (u("b-bytes") * 19_800.0) as u32;
+                for s in 0..sessions as u32 {
+                    let es = e ^ s.rotate_left(13);
+                    let server = k
+                        .b_server
+                        .index(e ^ s, d, self.config.server_count as usize);
+                    let port = self.config.benign_ports
+                        [k.b_port.index(e ^ s, d, self.config.benign_ports.len())];
+                    let packets = 8 + (k.b_pkts.uniform(es, d) * 52.0) as u32;
+                    let payload = 200 + (k.b_bytes.uniform(es, d) * 19_800.0) as u32;
                     sink(Flow {
                         src,
                         dst: self.server_addr(server as u32),
-                        src_port: ephemeral(u("b-sport")),
+                        src_port: ephemeral(k.b_sport.uniform(es, d)),
                         dst_port: port,
                         proto: proto::TCP,
                         packets,
                         octets: packets * 40 + payload,
                         flags: tcp_flags::SYN | tcp_flags::ACK | tcp_flags::PSH | tcp_flags::FIN,
-                        start_secs: day_base + (u("b-time") * 86_000.0) as i64,
-                        duration_secs: 1 + (u("b-dur") * 300.0) as u32,
+                        start_secs: day_base + (k.b_time.uniform(es, d) * 86_000.0) as i64,
+                        duration_secs: 1 + (k.b_dur.uniform(es, d) * 300.0) as u32,
                     });
                 }
             }
             ActivityKind::Scan { targets } => {
                 // One sweep: a single port, targets spread across one hour.
-                let port = self.config.scan_ports
-                    [index_hash(&self.seeds, e, d, "s-port", self.config.scan_ports.len())];
-                let hour_base =
-                    day_base + (uniform_hash(&self.seeds, e, d, "s-hour") * 23.0) as i64 * 3600;
+                let port =
+                    self.config.scan_ports[k.s_port.index(e, d, self.config.scan_ports.len())];
+                let hour_base = day_base + (k.s_hour.uniform(e, d) * 23.0) as i64 * 3600;
                 for t in 0..targets as u32 {
-                    let u = |label: &str| uniform_hash(&self.seeds, e ^ t.rotate_left(7), d, label);
-                    let packets = 1 + (u("s-pkts") * 2.0) as u32;
+                    let et = e ^ t.rotate_left(7);
+                    let packets = 1 + (k.s_pkts.uniform(et, d) * 2.0) as u32;
                     // Some stacks add 12 bytes of options per SYN.
-                    let per_packet = if u("s-opts") < 0.5 { 52 } else { 40 };
+                    let per_packet = if k.s_opts.uniform(et, d) < 0.5 {
+                        52
+                    } else {
+                        40
+                    };
                     sink(Flow {
                         src,
-                        dst: self.observed.target_addr(&self.seeds, e, d, t),
-                        src_port: ephemeral(u("s-sport")),
+                        dst: self.observed.target_addr(k.target, e, d, t),
+                        src_port: ephemeral(k.s_sport.uniform(et, d)),
                         dst_port: port,
                         proto: proto::TCP,
                         packets,
                         octets: packets * per_packet,
                         flags: tcp_flags::SYN,
-                        start_secs: hour_base + (u("s-time") * 3_500.0) as i64,
+                        start_secs: hour_base + (k.s_time.uniform(et, d) * 3_500.0) as i64,
                         duration_secs: 0,
                     });
                 }
             }
             ActivityKind::SlowScan { targets } => {
                 for t in 0..targets as u32 {
-                    let u = |label: &str| uniform_hash(&self.seeds, e ^ t.rotate_left(7), d, label);
-                    let port = self.config.scan_ports[index_hash(
-                        &self.seeds,
-                        e ^ t,
-                        d,
-                        "ss-port",
-                        self.config.scan_ports.len(),
-                    )];
-                    let per_packet = if u("ss-opts") < 0.5 { 52 } else { 40 };
+                    let et = e ^ t.rotate_left(7);
+                    let port = self.config.scan_ports
+                        [k.ss_port.index(e ^ t, d, self.config.scan_ports.len())];
+                    let per_packet = if k.ss_opts.uniform(et, d) < 0.5 {
+                        52
+                    } else {
+                        40
+                    };
                     sink(Flow {
                         src,
-                        dst: self
-                            .observed
-                            .target_addr(&self.seeds, e, d, 0x8000_0000 | t),
-                        src_port: ephemeral(u("ss-sport")),
+                        dst: self.observed.target_addr(k.target, e, d, 0x8000_0000 | t),
+                        src_port: ephemeral(k.ss_sport.uniform(et, d)),
                         dst_port: port,
                         proto: proto::TCP,
                         packets: 1,
                         octets: per_packet,
                         flags: tcp_flags::SYN,
-                        start_secs: day_base + (u("ss-time") * 86_000.0) as i64,
+                        start_secs: day_base + (k.ss_time.uniform(et, d) * 86_000.0) as i64,
                         duration_secs: 0,
                     });
                 }
             }
             ActivityKind::Probe => {
-                let n = 1 + index_hash(&self.seeds, e, d, "p-count", 2) as u32;
+                let n = 1 + k.p_count.index(e, d, 2) as u32;
                 for t in 0..n {
-                    let u = |label: &str| uniform_hash(&self.seeds, e ^ t.rotate_left(9), d, label);
-                    let packets = 1 + (u("p-pkts") * 2.0) as u32;
+                    let et = e ^ t.rotate_left(9);
+                    let packets = 1 + (k.p_pkts.uniform(et, d) * 2.0) as u32;
                     sink(Flow {
                         src,
-                        dst: self
-                            .observed
-                            .target_addr(&self.seeds, e, d, 0x4000_0000 | t),
-                        src_port: ephemeral(u("p-sport")),
-                        dst_port: ephemeral(u("p-dport")),
+                        dst: self.observed.target_addr(k.target, e, d, 0x4000_0000 | t),
+                        src_port: ephemeral(k.p_sport.uniform(et, d)),
+                        dst_port: ephemeral(k.p_dport.uniform(et, d)),
                         proto: proto::TCP,
                         packets,
                         octets: packets * 40,
                         flags: tcp_flags::SYN,
-                        start_secs: day_base + (u("p-time") * 86_000.0) as i64,
+                        start_secs: day_base + (k.p_time.uniform(et, d) * 86_000.0) as i64,
                         duration_secs: 0,
                     });
                 }
@@ -228,28 +290,23 @@ impl<'a> FlowGenerator<'a> {
                 self.truncated_counter
                     .add(u64::from(messages as u32) - u64::from(flows));
                 for t in 0..flows {
-                    let u =
-                        |label: &str| uniform_hash(&self.seeds, e ^ t.rotate_left(11), d, label);
-                    let mx = index_hash(
-                        &self.seeds,
-                        e ^ t,
-                        d,
-                        "m-server",
-                        self.config.mail_server_count as usize,
-                    );
-                    let packets = 10 + (u("m-pkts") * 20.0) as u32;
-                    let payload = 2_000 + (u("m-bytes") * 6_000.0) as u32;
+                    let et = e ^ t.rotate_left(11);
+                    let mx = k
+                        .m_server
+                        .index(e ^ t, d, self.config.mail_server_count as usize);
+                    let packets = 10 + (k.m_pkts.uniform(et, d) * 20.0) as u32;
+                    let payload = 2_000 + (k.m_bytes.uniform(et, d) * 6_000.0) as u32;
                     sink(Flow {
                         src,
                         dst: self.mail_addr(mx as u32),
-                        src_port: ephemeral(u("m-sport")),
+                        src_port: ephemeral(k.m_sport.uniform(et, d)),
                         dst_port: 25,
                         proto: proto::TCP,
                         packets,
                         octets: packets * 40 + payload,
                         flags: tcp_flags::SYN | tcp_flags::ACK | tcp_flags::PSH | tcp_flags::FIN,
-                        start_secs: day_base + (u("m-time") * 86_000.0) as i64,
-                        duration_secs: 2 + (u("m-dur") * 60.0) as u32,
+                        start_secs: day_base + (k.m_time.uniform(et, d) * 86_000.0) as i64,
+                        duration_secs: 2 + (k.m_dur.uniform(et, d) * 60.0) as u32,
                     });
                 }
             }
@@ -469,6 +526,57 @@ mod tests {
         assert_eq!(
             snap.counters["flowgen.flows_truncated"], 440,
             "spam messages past the 60-flow cap"
+        );
+    }
+
+    /// FNV-1a over every field of every flow, in emission order.
+    fn flow_checksum(flows: &[Flow]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for f in flows {
+            eat(&f.src.raw().to_le_bytes());
+            eat(&f.dst.raw().to_le_bytes());
+            eat(&f.src_port.to_le_bytes());
+            eat(&f.dst_port.to_le_bytes());
+            eat(&[f.proto, f.flags]);
+            eat(&f.packets.to_le_bytes());
+            eat(&f.octets.to_le_bytes());
+            eat(&f.start_secs.to_le_bytes());
+            eat(&f.duration_secs.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn generated_days_are_pinned() {
+        // Golden checksum of two whole days (hostile plus benign) of a small
+        // world: any change to how flow fields or activity decisions are
+        // derived shows up here before it silently moves `results/`.
+        use unclean_netmodel::{Scenario, ScenarioConfig};
+        let scenario = Scenario::generate(ScenarioConfig::at_scale(0.001, 11));
+        let model = scenario.activity();
+        let generator = FlowGenerator::new(
+            &scenario.observed,
+            GeneratorConfig::default(),
+            scenario.seeds.child("flowgen"),
+        );
+        let first = scenario.dates.unclean_window.start;
+        let mut got = Vec::new();
+        for day in [first, Day(first.0 + 7)] {
+            let mut flows = Vec::new();
+            generator.flows_on(&model, day, true, |f| flows.push(f));
+            got.push((flows.len(), flow_checksum(&flows)));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (41_225, 0x2bdd_7ee3_40ea_6f06),
+                (40_636, 0x6c6f_88fb_7faf_efb8)
+            ]
         );
     }
 

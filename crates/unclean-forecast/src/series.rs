@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use unclean_core::{DateRange, Day};
 use unclean_flowgen::{ArchiveTelemetry, IndexedArchive, IndexedError};
-use unclean_netmodel::randutil::uniform_hash;
+use unclean_netmodel::randutil::Purpose;
 use unclean_netmodel::Infection;
 use unclean_stats::SeedTree;
 
@@ -120,13 +120,13 @@ impl DailySeries {
         report_prob: f64,
         seeds: &SeedTree,
     ) -> DailySeries {
-        let seeds = seeds.child("report-series");
+        let report = Purpose::new(&seeds.child("report-series"), "report");
         let mut pairs = BTreeSet::new();
         for inf in infections {
             let lo = inf.start.max(span.start.0);
             let hi = inf.end.min(span.end.0);
             for day in lo..=hi {
-                if uniform_hash(&seeds, inf.addr, day, "report") < report_prob {
+                if report.uniform(inf.addr, day) < report_prob {
                     pairs.insert((inf.addr >> 16, day, inf.addr));
                 }
             }

@@ -16,7 +16,7 @@ use crossbeam::executor::Executor;
 use serde::{Deserialize, Serialize};
 use unclean_core::{DateRange, Day};
 use unclean_netmodel::population::CascadeConfig;
-use unclean_netmodel::randutil::uniform_hash;
+use unclean_netmodel::randutil::Purpose;
 use unclean_netmodel::{
     calibrate_base_hazard, generate_infections, ChannelDirectory, CompromiseConfig, Infection,
     Remediation, RemediationOutcome, World, WorldConfig,
@@ -207,13 +207,13 @@ fn period_blocklist(
 ) -> (usize, f64) {
     // Identical hashing to `DailySeries::from_infections`, so the
     // blocklist arm and the forecaster see the same reports.
-    let seeds = seeds.child("report-series");
+    let report = Purpose::new(&seeds.child("report-series"), "report");
     let mut per_block: BTreeMap<u32, u32> = BTreeMap::new();
     for inf in infections {
         let lo = inf.start.max(range.start.0);
         let hi = inf.end.min(range.end.0);
         for day in lo..=hi {
-            if uniform_hash(&seeds, inf.addr, day, "report") < config.report_prob {
+            if report.uniform(inf.addr, day) < config.report_prob {
                 *per_block.entry(inf.addr >> 8).or_insert(0) += 1;
             }
         }

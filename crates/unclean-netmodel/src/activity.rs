@@ -11,9 +11,9 @@
 //! can be generated independently, in any order, in parallel, with
 //! identical results.
 
-use crate::actors::{scan_decision, Behavior, Campaigns, TaskingConfig};
+use crate::actors::{scan_decision, Behavior, Campaigns, TaskingConfig, TaskingPurposes};
 use crate::compromise::Infection;
-use crate::randutil::{decides, uniform_hash};
+use crate::randutil::Purpose;
 use crate::world::World;
 use serde::{Deserialize, Serialize};
 use unclean_core::{DateRange, Day, Ip};
@@ -111,13 +111,37 @@ pub struct ActivityModel<'a> {
     pub seeds: SeedTree,
 }
 
+/// The hash purposes of the hostile walk beyond tasking, derived once per
+/// walk so per-infection decisions never re-hash labels.
+struct HostilePurposes {
+    tasking: TaskingPurposes,
+    slowscan: Purpose,
+    slowscan_targets: Purpose,
+    probe: Purpose,
+    spam: Purpose,
+    spam_volume: Purpose,
+    c2: Purpose,
+}
+
+impl HostilePurposes {
+    fn new(seeds: &SeedTree) -> HostilePurposes {
+        let p = |label| Purpose::new(seeds, label);
+        HostilePurposes {
+            tasking: TaskingPurposes::new(seeds),
+            slowscan: p("slowscan"),
+            slowscan_targets: p("slowscan-targets"),
+            probe: p("probe"),
+            spam: p("spam"),
+            spam_volume: p("spam-volume"),
+            c2: p("c2"),
+        }
+    }
+}
+
 impl ActivityModel<'_> {
     /// Emit every malicious/compromised-host event for `day`.
-    pub fn hostile_events_on(&self, day: Day, mut sink: impl FnMut(ActivityEvent)) {
-        for inf in self.infections.iter().filter(|i| i.active_on(day)) {
-            let behavior = self.tasking.behavior(&self.seeds, inf);
-            self.emit_for_infection(inf, &behavior, day, &mut sink);
-        }
+    pub fn hostile_events_on(&self, day: Day, sink: impl FnMut(ActivityEvent)) {
+        self.hostile_events_on_filtered(day, |_| true, sink);
     }
 
     /// Emit hostile events for `day`, restricted to infections whose
@@ -129,26 +153,29 @@ impl ActivityModel<'_> {
         filter: impl Fn(Ip) -> bool,
         mut sink: impl FnMut(ActivityEvent),
     ) {
+        let purposes = HostilePurposes::new(&self.seeds);
         for inf in self
             .infections
             .iter()
             .filter(|i| i.active_on(day) && filter(i.ip()))
         {
-            let behavior = self.tasking.behavior(&self.seeds, inf);
-            self.emit_for_infection(inf, &behavior, day, &mut sink);
+            let behavior = self.tasking.behavior(&purposes.tasking, inf);
+            self.emit_for_infection(&purposes, inf, &behavior, day, &mut sink);
         }
     }
 
     fn emit_for_infection(
         &self,
+        purposes: &HostilePurposes,
         inf: &Infection,
         behavior: &Behavior,
         day: Day,
         sink: &mut impl FnMut(ActivityEvent),
     ) {
         let src = inf.ip();
+        let (e, d) = (inf.addr, day.0);
         if let Some(targets) = scan_decision(
-            &self.seeds,
+            &purposes.tasking,
             &self.tasking,
             &self.campaigns,
             inf,
@@ -162,15 +189,11 @@ impl ActivityModel<'_> {
             });
         }
         if behavior.slow_scanner
-            && decides(
-                &self.seeds,
-                inf.addr,
-                day.0,
-                "slowscan",
-                self.tasking.slow_scan_daily,
-            )
+            && purposes
+                .slowscan
+                .decides(e, d, self.tasking.slow_scan_daily)
         {
-            let u = uniform_hash(&self.seeds, inf.addr, day.0, "slowscan-targets");
+            let u = purposes.slowscan_targets.uniform(e, d);
             let targets =
                 1 + (u * (self.tasking.slow_scan_targets.saturating_sub(1)) as f64) as u16;
             sink(ActivityEvent {
@@ -179,31 +202,15 @@ impl ActivityModel<'_> {
                 kind: ActivityKind::SlowScan { targets },
             });
         }
-        if behavior.prober
-            && decides(
-                &self.seeds,
-                inf.addr,
-                day.0,
-                "probe",
-                self.tasking.probe_daily,
-            )
-        {
+        if behavior.prober && purposes.probe.decides(e, d, self.tasking.probe_daily) {
             sink(ActivityEvent {
                 day,
                 src,
                 kind: ActivityKind::Probe,
             });
         }
-        if behavior.spammer
-            && decides(
-                &self.seeds,
-                inf.addr,
-                day.0,
-                "spam",
-                self.tasking.spam_daily,
-            )
-        {
-            let u = uniform_hash(&self.seeds, inf.addr, day.0, "spam-volume");
+        if behavior.spammer && purposes.spam.decides(e, d, self.tasking.spam_daily) {
+            let u = purposes.spam_volume.uniform(e, d);
             let messages = (self.tasking.spam_messages as f64 * (0.5 + u)).max(1.0) as u16;
             sink(ActivityEvent {
                 day,
@@ -211,7 +218,7 @@ impl ActivityModel<'_> {
                 kind: ActivityKind::Spam { messages },
             });
         }
-        if inf.recruited && decides(&self.seeds, inf.addr, day.0, "c2", self.tasking.c2_daily) {
+        if inf.recruited && purposes.c2.decides(e, d, self.tasking.c2_daily) {
             sink(ActivityEvent {
                 day,
                 src,
@@ -228,25 +235,8 @@ impl ActivityModel<'_> {
     }
 
     /// Emit benign client sessions for `day` across the whole population.
-    pub fn benign_events_on(&self, day: Day, mut sink: impl FnMut(ActivityEvent)) {
-        for i in 0..self.world.population.block_count() {
-            let p = self.benign_daily_prob(i);
-            if p <= 0.0 {
-                continue;
-            }
-            let block = self.world.population.block(i);
-            for ip in block.addrs() {
-                if decides(&self.seeds, ip.raw(), day.0, "benign", p) {
-                    let u = uniform_hash(&self.seeds, ip.raw(), day.0, "benign-sessions");
-                    let sessions = 1 + (u * 4.0) as u8;
-                    sink(ActivityEvent {
-                        day,
-                        src: ip,
-                        kind: ActivityKind::Benign { sessions },
-                    });
-                }
-            }
-        }
+    pub fn benign_events_on(&self, day: Day, sink: impl FnMut(ActivityEvent)) {
+        self.benign_events_on_filtered(day, |_| true, sink);
     }
 
     /// Emit benign events restricted to blocks whose /24 prefix satisfies
@@ -257,6 +247,8 @@ impl ActivityModel<'_> {
         filter: impl Fn(u32) -> bool,
         mut sink: impl FnMut(ActivityEvent),
     ) {
+        let visits = Purpose::new(&self.seeds, "benign");
+        let sessions = Purpose::new(&self.seeds, "benign-sessions");
         for i in 0..self.world.population.block_count() {
             let block = self.world.population.block(i);
             if !filter(block.prefix) {
@@ -267,13 +259,14 @@ impl ActivityModel<'_> {
                 continue;
             }
             for ip in block.addrs() {
-                if decides(&self.seeds, ip.raw(), day.0, "benign", p) {
-                    let u = uniform_hash(&self.seeds, ip.raw(), day.0, "benign-sessions");
-                    let sessions = 1 + (u * 4.0) as u8;
+                if visits.decides(ip.raw(), day.0, p) {
+                    let u = sessions.uniform(ip.raw(), day.0);
                     sink(ActivityEvent {
                         day,
                         src: ip,
-                        kind: ActivityKind::Benign { sessions },
+                        kind: ActivityKind::Benign {
+                            sessions: 1 + (u * 4.0) as u8,
+                        },
                     });
                 }
             }

@@ -16,7 +16,7 @@
 //! after the bot report's date.
 
 use crate::compromise::Infection;
-use crate::randutil::{decides, uniform_hash};
+use crate::randutil::Purpose;
 use serde::{Deserialize, Serialize};
 use unclean_core::Day;
 use unclean_stats::SeedTree;
@@ -40,6 +40,33 @@ impl Behavior {
     /// network.
     pub fn is_active(&self) -> bool {
         self.spammer || self.fast_scanner || self.slow_scanner || self.prober
+    }
+}
+
+/// The hash purposes tasking decisions draw from, derived once from the
+/// activity seed tree so per-host, per-day decisions never re-hash labels.
+#[derive(Debug, Clone)]
+pub struct TaskingPurposes {
+    role_spam: Purpose,
+    role_fastscan: Purpose,
+    role_slowscan: Purpose,
+    role_probe: Purpose,
+    scan: Purpose,
+    scan_targets: Purpose,
+}
+
+impl TaskingPurposes {
+    /// Derive every tasking purpose from `seeds`.
+    pub fn new(seeds: &SeedTree) -> TaskingPurposes {
+        let p = |label| Purpose::new(seeds, label);
+        TaskingPurposes {
+            role_spam: p("role-spam"),
+            role_fastscan: p("role-fastscan"),
+            role_slowscan: p("role-slowscan"),
+            role_probe: p("role-probe"),
+            scan: p("scan"),
+            scan_targets: p("scan-targets"),
+        }
     }
 }
 
@@ -108,16 +135,16 @@ impl TaskingConfig {
     /// only recruited infections receive them (the acquisition/use split
     /// of Mirkovic et al.); background compromises limit themselves to the
     /// low-and-slow propagation behaviour of the malware that took them.
-    pub fn behavior(&self, seeds: &SeedTree, inf: &Infection) -> Behavior {
+    pub fn behavior(&self, purposes: &TaskingPurposes, inf: &Infection) -> Behavior {
         // Key on (addr, start) so reinfections may change character.
         let e = inf.addr;
         let d = inf.start;
         Behavior {
-            spammer: inf.recruited && decides(seeds, e, d, "role-spam", self.p_spammer),
+            spammer: inf.recruited && purposes.role_spam.decides(e, d, self.p_spammer),
             fast_scanner: inf.recruited
-                && decides(seeds, e, d, "role-fastscan", self.p_fast_scanner),
-            slow_scanner: decides(seeds, e, d, "role-slowscan", self.p_slow_scanner),
-            prober: decides(seeds, e, d, "role-probe", self.p_prober),
+                && purposes.role_fastscan.decides(e, d, self.p_fast_scanner),
+            slow_scanner: purposes.role_slowscan.decides(e, d, self.p_slow_scanner),
+            prober: purposes.role_probe.decides(e, d, self.p_prober),
         }
     }
 }
@@ -180,7 +207,7 @@ impl Campaigns {
 /// its persistent behaviour, baseline rates, and campaign tasking, and — if
 /// so — how many targets it sweeps.
 pub fn scan_decision(
-    seeds: &SeedTree,
+    purposes: &TaskingPurposes,
     cfg: &TaskingConfig,
     campaigns: &Campaigns,
     inf: &Infection,
@@ -196,11 +223,11 @@ pub fn scan_decision(
     if inf.recruited {
         p += campaigns.intensity_for(inf.channel, day);
     }
-    if p <= 0.0 || !decides(seeds, inf.addr, day.0, "scan", p.min(1.0)) {
+    if p <= 0.0 || !purposes.scan.decides(inf.addr, day.0, p.min(1.0)) {
         return None;
     }
     // Target count: spread around the mean, always above the slow threshold.
-    let u = uniform_hash(seeds, inf.addr, day.0, "scan-targets");
+    let u = purposes.scan_targets.uniform(inf.addr, day.0);
     let targets = (cfg.fast_scan_targets as f64 * (0.5 + u)) as u16;
     Some(targets.max(cfg.slow_scan_targets + 10))
 }
@@ -221,14 +248,14 @@ mod tests {
 
     #[test]
     fn behavior_is_stable_and_matches_rates() {
-        let seeds = SeedTree::new(1);
+        let purposes = TaskingPurposes::new(&SeedTree::new(1));
         let cfg = TaskingConfig::default();
         let i = inf(0x0a0a0a0a, true, 3);
-        assert_eq!(cfg.behavior(&seeds, &i), cfg.behavior(&seeds, &i));
+        assert_eq!(cfg.behavior(&purposes, &i), cfg.behavior(&purposes, &i));
         let mut counts = [0usize; 4];
         let n = 20_000;
         for a in 0..n {
-            let b = cfg.behavior(&seeds, &inf(a as u32, true, 0));
+            let b = cfg.behavior(&purposes, &inf(a as u32, true, 0));
             counts[0] += b.spammer as usize;
             counts[1] += b.fast_scanner as usize;
             counts[2] += b.slow_scanner as usize;
@@ -248,10 +275,10 @@ mod tests {
 
     #[test]
     fn unrecruited_infections_never_spam_or_fast_scan() {
-        let seeds = SeedTree::new(1);
+        let purposes = TaskingPurposes::new(&SeedTree::new(1));
         let cfg = TaskingConfig::default();
         for a in 0..5_000u32 {
-            let b = cfg.behavior(&seeds, &inf(a, false, 0));
+            let b = cfg.behavior(&purposes, &inf(a, false, 0));
             assert!(
                 !b.spammer && !b.fast_scanner,
                 "herder tasks need recruitment"
@@ -310,7 +337,7 @@ mod tests {
 
     #[test]
     fn scan_decision_baseline_rate() {
-        let seeds = SeedTree::new(2);
+        let purposes = TaskingPurposes::new(&SeedTree::new(2));
         let cfg = TaskingConfig::default();
         let cs = Campaigns::default();
         let b_scan = Behavior {
@@ -328,10 +355,10 @@ mod tests {
         let mut scans = 0;
         for a in 0..10_000u32 {
             let i = inf(a, false, 0);
-            if scan_decision(&seeds, &cfg, &cs, &i, &b_scan, Day(5)).is_some() {
+            if scan_decision(&purposes, &cfg, &cs, &i, &b_scan, Day(5)).is_some() {
                 scans += 1;
             }
-            assert!(scan_decision(&seeds, &cfg, &cs, &i, &b_quiet, Day(5)).is_none());
+            assert!(scan_decision(&purposes, &cfg, &cs, &i, &b_quiet, Day(5)).is_none());
         }
         let rate = scans as f64 / 10_000.0;
         assert!((rate - cfg.fast_scan_daily).abs() < 0.02, "rate {rate}");
@@ -339,7 +366,7 @@ mod tests {
 
     #[test]
     fn campaign_mobilizes_recruited_bots_only() {
-        let seeds = SeedTree::new(3);
+        let purposes = TaskingPurposes::new(&SeedTree::new(3));
         let cfg = TaskingConfig::default();
         let cs = Campaigns {
             scan: vec![Campaign {
@@ -360,10 +387,10 @@ mod tests {
         let mut on_channel = 0;
         let mut off_channel = 0;
         for a in 0..5_000u32 {
-            if scan_decision(&seeds, &cfg, &cs, &inf(a, true, 4), &quiet, Day(5)).is_some() {
+            if scan_decision(&purposes, &cfg, &cs, &inf(a, true, 4), &quiet, Day(5)).is_some() {
                 on_channel += 1;
             }
-            if scan_decision(&seeds, &cfg, &cs, &inf(a, true, 5), &quiet, Day(5)).is_some() {
+            if scan_decision(&purposes, &cfg, &cs, &inf(a, true, 5), &quiet, Day(5)).is_some() {
                 off_channel += 1;
             }
         }
@@ -376,7 +403,7 @@ mod tests {
 
     #[test]
     fn scan_targets_exceed_slow_threshold() {
-        let seeds = SeedTree::new(4);
+        let purposes = TaskingPurposes::new(&SeedTree::new(4));
         let cfg = TaskingConfig::default();
         let cs = Campaigns::default();
         let b = Behavior {
@@ -386,7 +413,7 @@ mod tests {
             prober: false,
         };
         for a in 0..2_000u32 {
-            if let Some(t) = scan_decision(&seeds, &cfg, &cs, &inf(a, false, 0), &b, Day(9)) {
+            if let Some(t) = scan_decision(&purposes, &cfg, &cs, &inf(a, false, 0), &b, Day(9)) {
                 assert!(
                     t > cfg.slow_scan_targets,
                     "fast scans outrun the slow threshold"

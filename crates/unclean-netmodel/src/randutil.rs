@@ -7,6 +7,15 @@
 //! without replaying days 0..274 — so decisions are pure hashes of
 //! (seed, entity, day, purpose) rather than draws from a sequential
 //! stream.
+//!
+//! A [`Purpose`] is the (seed, purpose) half of that hash, derived once:
+//! deriving it (FNV-1a over the label, then a SplitMix round) costs about
+//! as much as the two per-(entity, day) rounds, and it never varies
+//! inside a loop over entities or days. Hot callers (flow expansion, the
+//! activity walk) derive their purposes up front and draw through them;
+//! [`uniform_hash`], [`index_hash`] and [`decides`] derive the purpose on
+//! each call and draw through the same code, so both forms give
+//! bit-identical values.
 
 use rand::Rng;
 use unclean_stats::SeedTree;
@@ -69,33 +78,61 @@ pub fn geometric_days(rng: &mut impl Rng, mean: f64) -> u32 {
     }
 }
 
-/// A pure, stable Bernoulli decision for (entity, day, purpose): the same
-/// inputs always produce the same answer, independent of evaluation order.
+/// One purpose's node in a seed tree: `seeds.child(label)`, derived once
+/// and then drawn from for any (entity, day).
+#[derive(Debug, Clone, Copy)]
+pub struct Purpose(SeedTree);
+
+impl Purpose {
+    /// The purpose `label` under `seeds`.
+    pub fn new(seeds: &SeedTree, label: &str) -> Purpose {
+        Purpose(seeds.child(label))
+    }
+
+    /// The stable uniform in `[0, 1)` for (entity, day).
+    pub fn uniform(self, entity: u32, day: i32) -> f64 {
+        let raw = self
+            .0
+            .child_idx(entity as u64)
+            .child_idx(day as u32 as u64)
+            .raw();
+        // 53 high bits → uniform double in [0, 1).
+        (raw >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A stable uniform integer in `[0, n)` for (entity, day).
+    pub fn index(self, entity: u32, day: i32, n: usize) -> usize {
+        assert!(n > 0, "index_hash over an empty range");
+        (self.uniform(entity, day) * n as f64) as usize % n
+    }
+
+    /// A pure, stable Bernoulli(p) decision for (entity, day): the same
+    /// inputs always produce the same answer, independent of evaluation
+    /// order.
+    pub fn decides(self, entity: u32, day: i32, p: f64) -> bool {
+        if p <= 0.0 {
+            return false;
+        }
+        if p >= 1.0 {
+            return true;
+        }
+        self.uniform(entity, day) < p
+    }
+}
+
+/// [`Purpose::decides`] for a purpose given by its label.
 pub fn decides(seeds: &SeedTree, entity: u32, day: i32, purpose: &str, p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
-    }
-    if p >= 1.0 {
-        return true;
-    }
-    uniform_hash(seeds, entity, day, purpose) < p
+    Purpose::new(seeds, purpose).decides(entity, day, p)
 }
 
-/// The underlying stable uniform in `[0, 1)` for (entity, day, purpose).
+/// [`Purpose::uniform`] for a purpose given by its label.
 pub fn uniform_hash(seeds: &SeedTree, entity: u32, day: i32, purpose: &str) -> f64 {
-    let raw = seeds
-        .child(purpose)
-        .child_idx(entity as u64)
-        .child_idx(day as u32 as u64)
-        .raw();
-    // 53 high bits → uniform double in [0, 1).
-    (raw >> 11) as f64 / (1u64 << 53) as f64
+    Purpose::new(seeds, purpose).uniform(entity, day)
 }
 
-/// A stable uniform integer in `[0, n)` for (entity, day, purpose).
+/// [`Purpose::index`] for a purpose given by its label.
 pub fn index_hash(seeds: &SeedTree, entity: u32, day: i32, purpose: &str, n: usize) -> usize {
-    assert!(n > 0, "index_hash over an empty range");
-    (uniform_hash(seeds, entity, day, purpose) * n as f64) as usize % n
+    Purpose::new(seeds, purpose).index(entity, day, n)
 }
 
 #[cfg(test)]
@@ -226,6 +263,48 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s), "all indices hit");
+    }
+
+    #[test]
+    fn hash_values_are_pinned() {
+        // Golden values: every synthetic flow field and activity decision
+        // derives from these hashes, so any change to their derivation
+        // moves the whole generated world (and every `results/` file).
+        let seeds = SeedTree::new(20061001).child("flowgen");
+        let bits = |e, d, l| uniform_hash(&seeds, e, d, l).to_bits();
+        assert_eq!(bits(0x0901_0203, 273, "s-time"), 0x3fe7_97dc_d623_246f);
+        assert_eq!(bits(0, 0, "target"), 0x3feb_80b0_691f_5247);
+        assert_eq!(bits(u32::MAX, -5, "benign"), 0x3fc9_6d3e_7ba6_dd2c);
+        assert_eq!(index_hash(&seeds, 0x0901_0203, 280, "b-server", 48), 37);
+        assert_eq!(index_hash(&seeds, 77, 9, "s-port", 8), 7);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn purpose_matches_the_label_form(
+            master in proptest::any::<u64>(),
+            entity in proptest::any::<u32>(),
+            day in proptest::any::<i32>(),
+            label in proptest::collection::vec(proptest::any::<u8>(), 0..16),
+            n in 1usize..1_000,
+            p in 0.0f64..1.0,
+        ) {
+            let seeds = SeedTree::new(master);
+            let label = String::from_utf8_lossy(&label);
+            let purpose = Purpose::new(&seeds, &label);
+            proptest::prop_assert_eq!(
+                purpose.uniform(entity, day).to_bits(),
+                uniform_hash(&seeds, entity, day, &label).to_bits()
+            );
+            proptest::prop_assert_eq!(
+                purpose.index(entity, day, n),
+                index_hash(&seeds, entity, day, &label, n)
+            );
+            proptest::prop_assert_eq!(
+                purpose.decides(entity, day, p),
+                decides(&seeds, entity, day, &label, p)
+            );
+        }
     }
 
     #[test]

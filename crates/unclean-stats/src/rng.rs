@@ -111,8 +111,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// sampling 600k indices out of 47M is cheap. Panics if `k > n`.
 pub fn sample_indices(rng: &mut impl RngCore, n: usize, k: usize) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} items from a population of {n}");
-    use std::collections::HashSet;
-    let mut chosen: HashSet<usize> = HashSet::with_capacity(k * 2);
+    let mut chosen = ChosenIndices::with_capacity(k);
     // Floyd's algorithm: for j in n-k..n, pick t in [0, j]; insert t or j.
     for j in (n - k)..n {
         let t = (rng.next_u64() % (j as u64 + 1)) as usize;
@@ -120,9 +119,54 @@ pub fn sample_indices(rng: &mut impl RngCore, n: usize, k: usize) -> Vec<usize> 
             chosen.insert(j);
         }
     }
-    let mut out: Vec<usize> = chosen.into_iter().collect();
+    let mut out = chosen.into_vec();
     out.sort_unstable();
     out
+}
+
+/// The insert-only set Floyd's algorithm tracks its picks in: open
+/// addressing with linear probing over a power-of-two table kept at most
+/// half full, indexed by a multiplicative (Fibonacci) hash of the index.
+struct ChosenIndices {
+    slots: Vec<usize>,
+    shift: u32,
+}
+
+impl ChosenIndices {
+    /// Marks an empty slot. Every index drawn is below `n ≤ usize::MAX`,
+    /// so it never collides with a pick.
+    const EMPTY: usize = usize::MAX;
+
+    fn with_capacity(k: usize) -> ChosenIndices {
+        let slots = (2 * k).max(2).next_power_of_two();
+        ChosenIndices {
+            slots: vec![Self::EMPTY; slots],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    /// Insert `index`; false if it was already chosen.
+    fn insert(&mut self, index: usize) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut at = ((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[at] {
+                Self::EMPTY => {
+                    self.slots[at] = index;
+                    return true;
+                }
+                held if held == index => return false,
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn into_vec(self) -> Vec<usize> {
+        self.slots
+            .into_iter()
+            .filter(|&slot| slot != Self::EMPTY)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -199,6 +243,23 @@ mod tests {
         assert_eq!(s.len(), 64);
         assert!(s.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
         assert!(s.iter().all(|&i| i < n));
+    }
+
+    #[test]
+    fn sample_indices_output_is_pinned() {
+        // Golden draw at the size of a canonical control sample (8,099 of
+        // 615,775): the chosen set must not depend on how the draw
+        // tracks what it has already chosen.
+        let mut rng = SeedTree::new(3).stream("s");
+        let s = sample_indices(&mut rng, 615_775, 8_099);
+        let fnv = s.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &i| {
+            (h ^ i as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(s.len(), 8_099);
+        assert_eq!(
+            (&s[..3], fnv),
+            (&[31usize, 42, 44][..], 0x254a_1508_9f26_2329)
+        );
     }
 
     #[test]

@@ -231,3 +231,68 @@ fn default_scenario_flow_store_drops_nothing() {
         "stored counter matches the accessor"
     );
 }
+
+#[test]
+fn keyed_detector_maps_match_an_ordered_reference() {
+    // The scan and spam detectors keep their per-source state in hashed
+    // maps; iteration order must never reach a result. Re-run the same
+    // detection rules over ordered `BTreeMap`s on a generated day (whole
+    // Internet, hostile plus benign) and require identical detections.
+    use std::collections::{BTreeMap, BTreeSet};
+    use unclean_detect::{FanoutConfig, HourlyFanoutDetector, SpamConfig, SpamDetector};
+    let f = fixture();
+    let model = f.scenario.activity();
+    let generator = FlowGenerator::new(
+        &f.scenario.observed,
+        GeneratorConfig::default(),
+        f.scenario.seeds.child("flowgen"),
+    );
+    let (fanout, spam) = (FanoutConfig::default(), SpamConfig::default());
+    let mut scan_det = HourlyFanoutDetector::new(fanout.clone());
+    let mut spam_det = SpamDetector::new(spam.clone());
+    let mut hours: BTreeMap<u32, (i64, BTreeSet<u32>)> = BTreeMap::new();
+    let mut scanners = BTreeSet::new();
+    let mut mail: BTreeMap<u32, (i32, u32)> = BTreeMap::new();
+    let mut spammers = BTreeSet::new();
+    let day = f.scenario.dates.unclean_window.start;
+    generator.flows_on(&model, day, true, |fl| {
+        scan_det.observe(&fl);
+        spam_det.observe(&fl);
+        let src = fl.src.raw();
+        if !scanners.contains(&src) && !fl.payload_bearing() {
+            let st = hours.entry(src).or_default();
+            let hour = fl.start_secs.div_euclid(3600);
+            if st.0 != hour {
+                *st = (hour, BTreeSet::new());
+            }
+            st.1.insert(fl.dst.raw());
+            if st.1.len() >= fanout.hourly_threshold {
+                scanners.insert(src);
+                hours.remove(&src);
+            }
+        }
+        if !spammers.contains(&src) && fl.dst_port == 25 && fl.payload_bearing() {
+            let st = mail.entry(src).or_default();
+            if st.0 != fl.day().0 {
+                *st = (fl.day().0, 0);
+            }
+            st.1 += 1;
+            if st.1 >= spam.daily_message_threshold {
+                spammers.insert(src);
+                mail.remove(&src);
+            }
+        }
+    });
+    assert!(
+        !scanners.is_empty() && !spammers.is_empty(),
+        "the day has both"
+    );
+    assert_eq!(
+        scan_det.detected(),
+        IpSet::from_raw(scanners.into_iter().collect())
+    );
+    assert_eq!(
+        spam_det.detected(),
+        IpSet::from_raw(spammers.into_iter().collect())
+    );
+}
